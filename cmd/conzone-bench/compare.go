@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"text/tabwriter"
-
-	"github.com/conzone/conzone/internal/emubench"
 )
 
 // loadBaseline reads a committed selfbench report (the BENCH_emulator.json
@@ -93,27 +91,4 @@ func pctDelta(cur, base float64) float64 {
 		return 0
 	}
 	return (cur - base) / base * 100
-}
-
-// runShardSweep measures the read-heavy QD16 workloads at each requested
-// shard count — the scaling curve behind EXPERIMENTS.md. Shards=1 is the
-// sequential path; higher counts clamp to the device's channel count.
-// burstread submits reads in un-polled batches, so it is the workload
-// whose drains actually reach the parallel executor; randread alternates
-// submit/poll and stays on the sequential fast path at every count, which
-// makes it the control: its curve must be flat. Both curves are flat on a
-// single-core host, where the FTL disables parallel drains outright.
-func runShardSweep(counts []int) error {
-	header("Shard-count scaling (wall-clock ns per emulated 4 KiB I/O)")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "benchmark\tshards\tns/op\tMiB/s\tallocs/op")
-	for _, w := range []string{"burstread", "randread"} {
-		for _, n := range counts {
-			spec := emubench.Spec{Workload: w, QD: 16, Shards: n}
-			res := runBenchmark(spec)
-			fmt.Fprintf(tw, "%s/qd16\t%d\t%.1f\t%.1f\t%d\n",
-				w, n, res.NsPerOp, res.MiBPerSec, res.AllocsPerOp)
-		}
-	}
-	return tw.Flush()
 }

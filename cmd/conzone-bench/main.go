@@ -10,9 +10,8 @@
 //	conzone-bench -crash [-crash-seeds 8] [-crash-ops 600] [-fault-seed 7] [-quick]
 //	conzone-bench -timeseries [-sample-interval 5ms] [-series-jsonl s.jsonl] [-series-csv s.csv] [-quick]
 //	conzone-bench -serve :9090 [-quick]
-//	conzone-bench -selfbench [-json BENCH_emulator.json] [-shards N]
+//	conzone-bench -selfbench [-json BENCH_emulator.json]
 //	conzone-bench -selfbench -compare BENCH_emulator.json [-regress-pct 25]
-//	conzone-bench -shardsweep 1,2,4,8
 //
 // Any mode accepts -cpuprofile/-memprofile to write pprof profiles of the
 // run. -selfbench measures the emulator's own wall-clock throughput (ns per
@@ -20,8 +19,7 @@
 // output is the schema of the repo-root BENCH_emulator.json baseline.
 // -compare prints ns/op and MiB/s deltas against a committed baseline and
 // exits non-zero when any benchmark regresses past -regress-pct (the CI
-// perf-smoke gate). -shardsweep plots wall-clock scaling of the sharded
-// read executor across shard counts.
+// perf-smoke gate).
 package main
 
 import (
@@ -62,8 +60,6 @@ func main() {
 	jsonOut := flag.String("json", "", "with -selfbench: write the results to this file (e.g. BENCH_emulator.json)")
 	compare := flag.String("compare", "", "with -selfbench: compare against this baseline JSON and exit non-zero on regression")
 	regressPct := flag.Float64("regress-pct", 25, "with -compare: ns/op regression percentage that fails the comparison")
-	shards := flag.Int("shards", 0, "with -selfbench: read-shard count override (0 = config default, 1 = sequential)")
-	shardSweep := flag.String("shardsweep", "", "comma-separated shard counts to sweep over the QD16 read benchmarks (e.g. 1,2,4,8)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
@@ -93,7 +89,7 @@ func main() {
 	}
 
 	if *selfbench {
-		report, err := runSelfBench(*jsonOut, *shards)
+		report, err := runSelfBench(*jsonOut)
 		if err != nil {
 			fatal(err)
 		}
@@ -105,16 +101,6 @@ func main() {
 			if err := compareReports(report, base, *regressPct); err != nil {
 				fatal(err)
 			}
-		}
-		return
-	}
-	if *shardSweep != "" {
-		counts, err := parseDepths(*shardSweep)
-		if err != nil {
-			fatal(fmt.Errorf("-shardsweep: %w", err))
-		}
-		if err := runShardSweep(counts); err != nil {
-			fatal(err)
 		}
 		return
 	}

@@ -61,11 +61,8 @@ func runBenchmark(spec emubench.Spec) selfBenchResult {
 // runSelfBench measures the emulator's own wall-clock throughput: every
 // emubench spec (seqwrite, randread, randwrite, gcheavy at QD 1 and 16) is
 // run through testing.Benchmark, printed as a table, and optionally written
-// to jsonPath as the machine-readable baseline. shards, when non-zero,
-// overrides the device's read-shard count for every spec (the benchmark
-// names then carry a /shardsN suffix, so such a run is never mistaken for
-// the canonical baseline family).
-func runSelfBench(jsonPath string, shards int) (*selfBenchReport, error) {
+// to jsonPath as the machine-readable baseline.
+func runSelfBench(jsonPath string) (*selfBenchReport, error) {
 	report := &selfBenchReport{
 		Date:      time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
@@ -76,7 +73,6 @@ func runSelfBench(jsonPath string, shards int) (*selfBenchReport, error) {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\titers\tns/op\tMiB/s\tB/op\tallocs/op")
 	for _, spec := range emubench.Specs() {
-		spec.Shards = shards
 		r := runBenchmark(spec)
 		report.Results = append(report.Results, r)
 		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%d\t%d\n",

@@ -28,20 +28,10 @@ import (
 type Spec struct {
 	Workload string // "seqwrite", "randread", "burstread", "randwrite" or "gcheavy"
 	QD       int    // outstanding commands the driver keeps in flight
-
-	// Shards overrides the device's read-shard count (ftl.Params.Shards):
-	// 0 keeps the config default (auto, one shard per channel), 1 forces
-	// the sequential path, N>1 asks for N shards. Used by the shard-count
-	// scaling sweep; the canonical baseline family leaves it 0.
-	Shards int
 }
 
-// Name returns the benchmark sub-name, e.g. "randread/qd16". A shard
-// override is part of the name, so baseline entries stay stable.
+// Name returns the benchmark sub-name, e.g. "randread/qd16".
 func (s Spec) Name() string {
-	if s.Shards != 0 {
-		return fmt.Sprintf("%s/qd%d/shards%d", s.Workload, s.QD, s.Shards)
-	}
 	return fmt.Sprintf("%s/qd%d", s.Workload, s.QD)
 }
 
@@ -128,9 +118,6 @@ type runner struct {
 // returns a driver positioned at steady state.
 func newRunner(tb testing.TB, spec Spec) *runner {
 	cfg := config.Small()
-	if spec.Shards != 0 {
-		cfg.FTL.Shards = spec.Shards
-	}
 	f, err := ftl.New(cfg.Geometry, cfg.Latency, cfg.FTL)
 	if err != nil {
 		tb.Fatalf("emubench: build FTL: %v", err)
@@ -269,9 +256,6 @@ func (r *runner) step() {
 	case "burstread":
 		// Random reads submitted QD at a time with no polling in between —
 		// the doorbell-batching shape of a host that rings once per batch.
-		// Back-to-back reads take the channel-sharded staging path, so this
-		// is the workload where the parallel executor (and, at GOMAXPROCS 1,
-		// its inline fallback) carries the whole read stream.
 		if r.inflight >= r.qd {
 			r.drain()
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/conzone/conzone/internal/config"
@@ -53,6 +54,30 @@ func TestFig6aShape(t *testing.T) {
 	}
 	if !res.Pass {
 		t.Error("fig6a claims not reproduced")
+	}
+}
+
+// TestFig6aRegenerationIsDeterministic pins that regenerating a figure is
+// a pure function of the configuration: two back-to-back runs of Fig. 6a
+// give identical rows and verdicts. It needs every model to charge a
+// multi-page read's pages in a fixed order (Legacy's read path).
+func TestFig6aRegenerationIsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run")
+	}
+	first, err := RunFig6a(config.Paper(), Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := RunFig6a(config.Paper(), Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Rows, second.Rows) {
+		t.Errorf("Fig. 6a rows differ between regenerations:\n first %+v\nsecond %+v", first.Rows, second.Rows)
+	}
+	if !reflect.DeepEqual(first.Checks, second.Checks) {
+		t.Errorf("Fig. 6a verdicts differ between regenerations:\n first %q\nsecond %q", first.Checks, second.Checks)
 	}
 }
 

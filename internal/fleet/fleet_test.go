@@ -242,6 +242,28 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
+// TestProgressCallsDoNotOverlap pins that Progress callbacks are
+// serialized even with several workers: the callback below keeps
+// unsynchronized state, which the race detector flags if two calls
+// overlap, and it must see done count up by one per call.
+func TestProgressCallsDoNotOverlap(t *testing.T) {
+	spec := testSpec(7, 4)
+	last, calls := 0, 0
+	_, err := Run(&spec, Options{Workers: 4, Progress: func(done, total int) {
+		calls++
+		if done != last+1 || total != 8 {
+			t.Errorf("progress (%d, %d) after done=%d", done, total, last)
+		}
+		last = done
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 8 {
+		t.Fatalf("%d progress calls, want 8", calls)
+	}
+}
+
 // TestFleetMergeConsistency cross-checks the merged tallies against the
 // per-device results they were folded from.
 func TestFleetMergeConsistency(t *testing.T) {

@@ -21,7 +21,8 @@ type Options struct {
 	Workers int
 	// Progress, when non-nil, is called after each device completes with
 	// the number finished so far and the population size. Calls come from
-	// worker goroutines and may be concurrent.
+	// worker goroutines but never overlap, and done increases by one per
+	// call.
 	Progress func(done, total int)
 }
 
@@ -139,9 +140,8 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 				if opt.Progress != nil {
 					doneMu.Lock()
 					done++
-					n := int(done)
+					opt.Progress(int(done), total)
 					doneMu.Unlock()
-					opt.Progress(n, total)
 				}
 			}
 		}()

@@ -310,3 +310,31 @@ func (f *FTL) CheckInvariants() error {
 	}
 	return nil
 }
+
+// stagedRead is one StageRead result awaiting DrainStagedReads.
+type stagedRead struct {
+	done sim.Time
+	err  error
+}
+
+// ReadsShardable reports false: reads always run inline through ReadInto.
+// It, StageRead and DrainStagedReads survive only for callers written
+// against the former staged-read surface (the perfbench tracing shim).
+func (f *FTL) ReadsShardable() bool { return false }
+
+// StageRead runs ReadInto now and keeps its result for the next
+// DrainStagedReads.
+func (f *FTL) StageRead(at sim.Time, lba, n int64, dst [][]byte) {
+	done, err := f.ReadInto(at, lba, n, dst)
+	f.staged = append(f.staged, stagedRead{done, err})
+}
+
+// DrainStagedReads emits the staged results in staging order and forgets
+// them.
+func (f *FTL) DrainStagedReads(emit func(i int, done sim.Time, err error)) {
+	for i, r := range f.staged {
+		emit(i, r.done, r.err)
+	}
+	clear(f.staged)
+	f.staged = f.staged[:0]
+}

@@ -603,9 +603,12 @@ func (f *FTL) aggregateAfterWrite(zone int, off, n int64) {
 	}
 }
 
-// fullyMapped reports whether n sectors from lpa are all valid.
+// fullyMapped reports whether n sectors from lpa are all valid. It scans
+// from the end because a chunk still being filled sequentially is
+// unmapped at its tail: the check, made after every program unit, then
+// fails on its first probe instead of walking the written prefix.
 func (f *FTL) fullyMapped(lpa, n int64) bool {
-	for i := int64(0); i < n; i++ {
+	for i := n - 1; i >= 0; i-- {
 		if _, ok := f.table.Get(lpa + i); !ok {
 			return false
 		}

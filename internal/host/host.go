@@ -237,29 +237,6 @@ type readIntoBackend interface {
 	ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error)
 }
 
-// shardedReadBackend is the channel-sharded read staging surface
-// (*ftl.FTL implements it): StageRead plans a read now, DrainStagedReads
-// executes every staged read across per-channel shards and commits results
-// in staging order with completion values bit-identical to sequential
-// ReadInto calls. ReadsShardable gates the path off whenever the backend
-// needs the sequential machinery (fault injection, power-cut gating).
-type shardedReadBackend interface {
-	ReadsShardable() bool
-	StageRead(at sim.Time, lba, n int64, dst [][]byte)
-	DrainStagedReads(emit func(i int, done sim.Time, err error))
-}
-
-// stagedHostRead is the controller-side record of one staged read: the
-// identity and container the completion needs once the backend drains.
-type stagedHostRead struct {
-	tag   Tag
-	queue int
-	at    sim.Time
-	lba   int64
-	n     int64
-	data  [][]byte
-}
-
 // zone returns the zone the request's write lock targets (-1 for reads and
 // flush-alls, which lock nothing / everything respectively).
 func (r *request) zone(zoneCap int64) int {
@@ -289,14 +266,6 @@ type Controller struct {
 	unfin int          // total submitted-but-unreaped, across all queues
 
 	rb readIntoBackend // non-nil when the backend supports ReadInto
-
-	// Channel-sharded read staging (see drainStaged): srb is non-nil when
-	// the backend supports it, staged holds reads planned but not yet
-	// executed, in submission order.
-	srb       shardedReadBackend
-	staged    []stagedHostRead
-	readBurst bool                                  // a read was submitted since the last fence
-	drainEmit func(i int, done sim.Time, err error) // bound completeStaged, built once
 
 	// Cached device geometry (static for the backend's lifetime): avoids an
 	// interface call per validate/readyTime/dispatch on the hot path.
@@ -335,13 +304,6 @@ func New(be Backend, cfg Config) (*Controller, error) {
 		zoneFree: make([]sim.Time, be.NumZones()),
 	}
 	c.rb, _ = be.(readIntoBackend)
-	if c.rb != nil {
-		// Staging layers on the ReadInto container path, so it needs both.
-		c.srb, _ = be.(shardedReadBackend)
-		if c.srb != nil {
-			c.drainEmit = c.completeStaged // bind once: drains stay allocation-free
-		}
-	}
 	c.zcap = be.ZoneCapSectors()
 	c.total = be.TotalSectors()
 	c.nzones = be.NumZones()
@@ -399,24 +361,6 @@ func (c *Controller) submit(at sim.Time, q int, req *Request) (Tag, error) {
 		c.nextTag++
 		c.out[q]++
 		c.unfin++
-		if c.readBurst && c.srb != nil && c.srb.ReadsShardable() {
-			// Channel-sharded staging: plan the read now (identical
-			// sequential semantics), defer its sim reservations until the
-			// next fence — another submission class, a poll, or a wait —
-			// where the whole staged run executes across per-channel
-			// shards and merges back in tag order. Staging starts with the
-			// second back-to-back read (readBurst): a lone read between
-			// fences would drain as a batch of one, paying the staging
-			// bookkeeping with no shard-overlap to show for it. Either
-			// route produces bit-identical results, so the heuristic is
-			// free to chase throughput.
-			data := c.getContainer(int(req.N))
-			c.srb.StageRead(at, req.LBA, req.N, data)
-			c.staged = append(c.staged, stagedHostRead{tag: tag, queue: q, at: at, lba: req.LBA, n: req.N, data: data})
-			return tag, nil
-		}
-		c.drainStaged() // keep execution in tag order if anything is staged
-		c.readBurst = true
 		c.dispatchRead(tag, q, at, at, req.LBA, req.N)
 		return tag, nil
 	}
@@ -524,7 +468,6 @@ func (c *Controller) readyTime(r *request) sim.Time {
 // element's lower bound, so the root is the true (ready, tag) minimum and
 // dispatch order is identical to the former linear scan's.
 func (c *Controller) advance() {
-	c.drainStaged()
 	for c.pending.Len() > 0 {
 		r := c.pending[0]
 		if ready := c.readyTime(r); ready != r.key {
@@ -694,78 +637,6 @@ func (c *Controller) dispatchRead(tag Tag, q int, submitted, at sim.Time, lba, n
 	comp.Status = StatusOf(err)
 	comp.Submitted = submitted
 	comp.Dispatched = at
-	comp.Done = done
-}
-
-// drainStaged executes every staged read through the backend's channel
-// shards and completes them in staging (tag) order. Every completion
-// value, record and counter matches what an immediate dispatchRead at
-// each read's submission instant would have produced — staging only moves
-// the work, never the result. Called at every fence: advance (so any
-// dispatch, poll or wait drains first), a submit that cannot stage, and
-// DebugSnapshot. Must be called with c.mu held.
-func (c *Controller) drainStaged() {
-	c.readBurst = false
-	if len(c.staged) == 0 {
-		return
-	}
-	c.srb.DrainStagedReads(c.drainEmit)
-	c.staged = c.staged[:0]
-}
-
-// completeStaged finishes staged read i with the backend-reported
-// completion time and error: dispatchRead's completion-side tail.
-func (c *Controller) completeStaged(i int, done sim.Time, err error) {
-	s := &c.staged[i]
-	data := s.data
-	s.data = nil
-	carries := false
-	if err == nil {
-		for j, p := range data {
-			if p == nil {
-				continue
-			}
-			b := c.getSectorBuf()
-			copy(b, p)
-			data[j] = b
-			carries = true
-		}
-	}
-	if err != nil || !carries {
-		c.contFree = append(c.contFree, data[:0])
-		data = nil
-	}
-	if done < s.at {
-		done = s.at
-	}
-	c.dispatched++
-	if done > c.maxDone {
-		c.maxDone = done
-	}
-	if rec := c.be.Recorder(); rec != nil {
-		rec.Record(obs.Event{
-			Stage: obs.StageHostQueue, Cause: obs.CauseNone,
-			Begin: s.at, End: s.at,
-			Zone: -1, Actor: int32(s.queue), LBA: s.lba, N: s.n,
-		})
-	}
-	if c.debugLoseSync > 0 && s.queue == c.syncQueue() {
-		// See dispatch: the corruption hook swallows sync completions.
-		c.debugLoseSync--
-		return
-	}
-	comp := c.cqs[s.queue].push(done, s.tag)
-	comp.Tag = s.tag
-	comp.Queue = s.queue
-	comp.Op = OpRead
-	comp.Zone = -1
-	comp.LBA = s.lba
-	comp.N = s.n
-	comp.Data = data
-	comp.Err = err
-	comp.Status = StatusOf(err)
-	comp.Submitted = s.at
-	comp.Dispatched = s.at
 	comp.Done = done
 }
 

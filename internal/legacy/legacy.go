@@ -395,8 +395,15 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 		return nil, at, fmt.Errorf("legacy: read [%d,%d) out of range", lba, lba+n)
 	}
 	out := make([][]byte, n)
+	// Pages are charged in first-touch order, so a read's timing is
+	// deterministic; the map only finds a page's entry in runs.
 	type pageKey struct{ chip, block, page int }
-	pages := make(map[pageKey]int64)
+	type pageRun struct {
+		pageKey
+		bytes int64
+	}
+	var runs []pageRun
+	pages := make(map[pageKey]int)
 	fetchDone := at
 	for i := int64(0); i < n; i++ {
 		l := lba + i
@@ -433,11 +440,18 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 			return nil, at, err
 		}
 		out[i] = d.arr.Payload(d.geo.PPAOf(addr))
-		pages[pageKey{addr.Chip, addr.Block, addr.Page}] += units.Sector
+		pk := pageKey{addr.Chip, addr.Block, addr.Page}
+		j, ok := pages[pk]
+		if !ok {
+			j = len(runs)
+			pages[pk] = j
+			runs = append(runs, pageRun{pageKey: pk})
+		}
+		runs[j].bytes += units.Sector
 	}
 	done := fetchDone
-	for pk, bytes := range pages {
-		end, err := d.arr.ReadPage(fetchDone, pk.chip, pk.block, pk.page, bytes)
+	for _, r := range runs {
+		end, err := d.arr.ReadPage(fetchDone, r.chip, r.block, r.page, r.bytes)
 		if err != nil {
 			return nil, at, err
 		}

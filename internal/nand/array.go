@@ -27,6 +27,35 @@ type blockState struct {
 	eraseCount int64
 }
 
+// blockSectors is the per-sector media state of one programmed block. A
+// block gets one on its first program and gives it back to the array's
+// freelist, cleared, when erased, so a device holds sector state only for
+// the blocks that hold data — a fresh device touches a few superblocks of
+// a large array — and steady-state program/erase cycles allocate nothing.
+//
+// The record holds no pointers — payloads are named by slab id (see
+// slab.go) — so the garbage collector never scans it.
+type blockSectors struct {
+	slab    []int32 // payload slab id; 0 = no stored payload
+	written []bool  // programmed at least once since erase
+	oobLPA  []int64 // -1 = never stamped since erase
+	oobSeq  []int64
+}
+
+func newBlockSectors(n int64) *blockSectors {
+	oob := make([]int64, 2*n)
+	s := &blockSectors{
+		slab:    make([]int32, n),
+		written: make([]bool, n),
+		oobLPA:  oob[:n:n],
+		oobSeq:  oob[n:],
+	}
+	for i := range s.oobLPA {
+		s.oobLPA[i] = -1
+	}
+	return s
+}
+
 // Counters accumulates raw media activity for reporting and WAF accounting.
 type Counters struct {
 	PageReads       int64 // page sense operations
@@ -62,13 +91,11 @@ type Array struct {
 	chips    []*sim.Resource
 	channels []*sim.Resource
 	blocks   [][]blockState // [chip][block]
-	payload  [][]byte       // per linear sector; nil = no stored payload
-	written  []bool         // per linear sector; programmed at least once since erase
 	counters Counters
 	chanTab  []*sim.Resource // per-chip channel resource (chanOf without the modulo)
 	meta     []blockInfo     // per-block media/pages/latency, derived at construction
 	xferTab  []time.Duration // channel transfer time by n/Sector, for sector multiples up to one PU
-	slabs    slabArena       // per-array payload slab freelist (see slab.go)
+	slabs    slabArena       // per-array payload slabs and their freelist (see slab.go)
 	obs      *obs.Recorder   // nil when observation is off
 	faults   FaultInjector   // nil = media never fails
 
@@ -89,11 +116,16 @@ type Array struct {
 	powerCuts  int64
 	recoveries int64
 
-	// Per-sector OOB metadata and the global program sequence counter
-	// (see power.go). oobLPA is -1 for never-stamped sectors.
-	oobLPA []int64
-	oobSeq []int64
-	seq    int64
+	// Per-sector state by linear block (chip*BlocksPerChip + block): nil
+	// until the block is first programmed, and again after each erase.
+	// stride is the number of linear sectors a block spans; total is the
+	// whole linear sector space. freeSects recycles erased blocks' state.
+	sects     []*blockSectors
+	freeSects []*blockSectors
+	stride    int64
+	total     int64
+
+	seq int64 // global program sequence counter (see power.go)
 
 	// Durable metadata journal: resets and retirements (see power.go).
 	journal []MetaRecord
@@ -134,16 +166,36 @@ func NewArray(geo Geometry, lat LatencyTable, engine *sim.Engine) (*Array, error
 	for c := range a.blocks {
 		a.blocks[c] = make([]blockState, geo.BlocksPerChip)
 	}
-	n := geo.TotalSectors()
-	a.payload = make([][]byte, n)
-	a.written = make([]bool, n)
 	a.lastProgStart = make([]sim.Time, geo.Chips())
-	a.oobLPA = make([]int64, n)
-	for i := range a.oobLPA {
-		a.oobLPA[i] = -1
-	}
-	a.oobSeq = make([]int64, n)
+	a.sects = make([]*blockSectors, geo.Chips()*geo.BlocksPerChip)
+	a.stride = int64(geo.maxPagesPerBlock() * geo.SectorsPerPage())
+	a.total = geo.TotalSectors()
 	return a, nil
+}
+
+// sectors returns the state of ppa's block (nil when it holds no
+// programmed sector) and ppa's offset within it. ppa must be in range.
+func (a *Array) sectors(ppa PPA) (*blockSectors, int64) {
+	lb := int64(ppa) / a.stride
+	return a.sects[lb], int64(ppa) - lb*a.stride
+}
+
+// sectorsFor is sectors for a block about to be programmed or stamped: it
+// gives the block its state first if it has none.
+func (a *Array) sectorsFor(ppa PPA) (*blockSectors, int64) {
+	lb := int64(ppa) / a.stride
+	s := a.sects[lb]
+	if s == nil {
+		if n := len(a.freeSects); n > 0 {
+			s = a.freeSects[n-1]
+			a.freeSects[n-1] = nil
+			a.freeSects = a.freeSects[:n-1]
+		} else {
+			s = newBlockSectors(a.stride)
+		}
+		a.sects[lb] = s
+	}
+	return s, int64(ppa) - lb*a.stride
 }
 
 // Geometry returns the array's geometry.
@@ -368,15 +420,14 @@ func (a *Array) ProgramPU(at sim.Time, chip, block, startPage int, sectors [][]b
 		return xferEnd, progEnd, fmt.Errorf("nand: program %d/%d page %d: %w", chip, block, startPage, ErrProgramFail)
 	}
 
-	base := a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: startPage})
+	s, off := a.sectorsFor(a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: startPage}))
 	for i := 0; i < nsect; i++ {
-		idx := int64(base) + int64(i)
-		a.written[idx] = true
+		var p []byte
 		if sectors != nil {
-			a.setPayload(idx, sectors[i])
-		} else {
-			a.setPayload(idx, nil)
+			p = sectors[i]
 		}
+		s.written[off+int64(i)] = true
+		a.setPayload(&s.slab[off+int64(i)], p)
 	}
 	bs.nextSector = startSector + nsect
 
@@ -427,9 +478,9 @@ func (a *Array) ProgramSLCSector(at sim.Time, chip, block, page, sector int, pay
 		return xferEnd, progEnd, fmt.Errorf("nand: partial program %d/%d page %d: %w", chip, block, page, ErrProgramFail)
 	}
 
-	idx := int64(a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: page, Sector: sector}))
-	a.written[idx] = true
-	a.setPayload(idx, payload)
+	s, off := a.sectorsFor(a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: page, Sector: sector}))
+	s.written[off] = true
+	a.setPayload(&s.slab[off], payload)
 	bs.nextSector = lin + 1
 
 	a.counters.PartialPrograms++
@@ -507,15 +558,14 @@ func (a *Array) ProgramSLCPage(at sim.Time, chip, block, page int, sectors [][]b
 		return xferEnd, progEnd, fmt.Errorf("nand: page program %d/%d page %d: %w", chip, block, page, ErrProgramFail)
 	}
 
-	base := a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: page})
-	for s := 0; s < spp; s++ {
-		idx := int64(base) + int64(s)
-		a.written[idx] = true
+	s, off := a.sectorsFor(a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: page}))
+	for i := 0; i < spp; i++ {
+		var p []byte
 		if sectors != nil {
-			a.setPayload(idx, sectors[s])
-		} else {
-			a.setPayload(idx, nil)
+			p = sectors[i]
 		}
+		s.written[off+int64(i)] = true
+		a.setPayload(&s.slab[off+int64(i)], p)
 	}
 	bs.nextSector = (page + 1) * spp
 
@@ -553,14 +603,9 @@ func (a *Array) Erase(at sim.Time, chip, block int) (sim.Time, error) {
 	}
 	bs.nextSector = 0
 	bs.eraseCount++
-	spp := a.geo.SectorsPerPage()
-	base := int64(a.geo.PPAOf(Addr{Chip: chip, Block: block}))
-	n := int64(a.geo.maxPagesPerBlock() * spp)
-	for i := int64(0); i < n; i++ {
-		a.dropPayload(base + i)
-		a.written[base+i] = false
-		a.oobLPA[base+i] = -1
-		a.oobSeq[base+i] = 0
+	if lb := chip*a.geo.BlocksPerChip + block; a.sects[lb] != nil {
+		a.releaseSectors(a.sects[lb])
+		a.sects[lb] = nil
 	}
 	a.counters.Erases++
 	a.engine.Observe(end)
@@ -571,10 +616,11 @@ func (a *Array) Erase(at sim.Time, chip, block int) (sim.Time, error) {
 // IsWritten reports whether the sector at ppa has been programmed since the
 // last erase of its block.
 func (a *Array) IsWritten(ppa PPA) bool {
-	if ppa < 0 || int64(ppa) >= int64(len(a.written)) {
+	if ppa < 0 || int64(ppa) >= a.total {
 		return false
 	}
-	return a.written[ppa]
+	s, off := a.sectors(ppa)
+	return s != nil && s.written[off]
 }
 
 // Payload returns the stored bytes of one written sector, or nil when the
@@ -586,10 +632,14 @@ func (a *Array) IsWritten(ppa PPA) bool {
 // unrelated data. Callers that let the bytes escape the current media
 // operation (oracles, host-boundary copies) must use PayloadCopy instead.
 func (a *Array) Payload(ppa PPA) []byte {
-	if ppa < 0 || int64(ppa) >= int64(len(a.payload)) {
+	if ppa < 0 || int64(ppa) >= a.total {
 		return nil
 	}
-	return a.payload[ppa]
+	s, off := a.sectors(ppa)
+	if s == nil {
+		return nil
+	}
+	return a.slabs.bytes(s.slab[off])
 }
 
 // PayloadCopy returns a freshly allocated copy of the sector's stored bytes

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // File-backed NAND image: the array's durable state — programmed flags,
@@ -38,18 +39,37 @@ type imageFile struct {
 }
 
 // SaveImage writes the array's durable state to path, replacing any
-// existing file. The in-memory array is unchanged.
+// existing file atomically: the image is written and synced to a temporary
+// file in the same directory, which is then renamed over path, so a failed
+// save leaves the previous image intact. The in-memory array is unchanged.
 func (a *Array) SaveImage(path string) error {
 	img := imageFile{
 		Version:  imageVersion,
 		Geo:      a.geo,
-		Written:  a.written,
+		Written:  make([]bool, a.total),
 		Payload:  make(map[int64][]byte),
-		OOBLPA:   a.oobLPA,
-		OOBSeq:   a.oobSeq,
+		OOBLPA:   make([]int64, a.total),
+		OOBSeq:   make([]int64, a.total),
 		Seq:      a.seq,
 		Journal:  a.journal,
 		Counters: a.counters,
+	}
+	for i := range img.OOBLPA {
+		img.OOBLPA[i] = -1
+	}
+	for lb, st := range a.sects {
+		if st == nil {
+			continue
+		}
+		base := int64(lb) * a.stride
+		copy(img.Written[base:], st.written)
+		copy(img.OOBLPA[base:], st.oobLPA)
+		copy(img.OOBSeq[base:], st.oobSeq)
+		for i, id := range st.slab {
+			if id != 0 {
+				img.Payload[base+int64(i)] = a.slabs.bytes(id)
+			}
+		}
 	}
 	img.Blocks = make([][]imageBlock, len(a.blocks))
 	for c := range a.blocks {
@@ -58,24 +78,39 @@ func (a *Array) SaveImage(path string) error {
 			img.Blocks[c][b] = imageBlock{NextSector: bs.nextSector, EraseCount: bs.eraseCount}
 		}
 	}
-	for i, p := range a.payload {
-		if p != nil {
-			img.Payload[int64(i)] = p
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("nand: save image: %w", err)
-	}
-	if err := gob.NewEncoder(f).Encode(&img); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("nand: save image: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := writeAtomic(path, &img); err != nil {
 		return fmt.Errorf("nand: save image: %w", err)
 	}
 	return nil
+}
+
+// writeAtomic gob-encodes v into a temporary sibling of path, syncs and
+// closes it, and renames it over path. On any failure the temporary file
+// is removed and path is untouched.
+func writeAtomic(path string, v any) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = gob.NewEncoder(f).Encode(v); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // LoadArray rebuilds an array from an image written by SaveImage. The
@@ -115,9 +150,14 @@ func LoadArray(path string, lat LatencyTable) (*Array, error) {
 			a.blocks[c][b] = blockState{nextSector: bs.NextSector, eraseCount: bs.EraseCount}
 		}
 	}
-	copy(a.written, img.Written)
-	copy(a.oobLPA, img.OOBLPA)
-	copy(a.oobSeq, img.OOBSeq)
+	for idx := int64(0); idx < n; idx++ {
+		if img.Written[idx] || img.OOBLPA[idx] != -1 || img.OOBSeq[idx] != 0 {
+			st, off := a.sectorsFor(PPA(idx))
+			st.written[off] = img.Written[idx]
+			st.oobLPA[off] = img.OOBLPA[idx]
+			st.oobSeq[off] = img.OOBSeq[idx]
+		}
+	}
 	a.seq = img.Seq
 	a.journal = img.Journal
 	a.counters = img.Counters
@@ -125,7 +165,8 @@ func LoadArray(path string, lat LatencyTable) (*Array, error) {
 		if idx < 0 || idx >= n {
 			return nil, fmt.Errorf("nand: image %s: payload index %d out of range", path, idx)
 		}
-		a.setPayload(idx, p)
+		st, off := a.sectorsFor(PPA(idx))
+		a.setPayload(&st.slab[off], p)
 	}
 	return a, nil
 }

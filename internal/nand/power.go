@@ -100,8 +100,9 @@ func (a *Array) gate(end sim.Time) error {
 // assigns it the next program sequence number.
 func (a *Array) StampOOB(ppa PPA, lpa int64) {
 	a.seq++
-	a.oobLPA[ppa] = lpa
-	a.oobSeq[ppa] = a.seq
+	s, off := a.sectorsFor(ppa)
+	s.oobLPA[off] = lpa
+	s.oobSeq[off] = a.seq
 }
 
 // CopyOOB duplicates src's OOB stamp onto dst, keeping the original
@@ -109,17 +110,23 @@ func (a *Array) StampOOB(ppa PPA, lpa int64) {
 // rewriting it (bad-block relocation), so the copy neither gains nor loses
 // priority against other copies of the same LPA.
 func (a *Array) CopyOOB(dst, src PPA) {
-	a.oobLPA[dst] = a.oobLPA[src]
-	a.oobSeq[dst] = a.oobSeq[src]
+	lpa, seq := a.OOB(src)
+	s, off := a.sectorsFor(dst)
+	s.oobLPA[off] = lpa
+	s.oobSeq[off] = seq
 }
 
 // OOB returns the stamped logical address and sequence number of a sector,
 // or (-1, 0) when the sector was never stamped since its last erase.
 func (a *Array) OOB(ppa PPA) (lpa int64, seq int64) {
-	if ppa < 0 || int64(ppa) >= int64(len(a.oobLPA)) {
+	if ppa < 0 || int64(ppa) >= a.total {
 		return -1, 0
 	}
-	return a.oobLPA[ppa], a.oobSeq[ppa]
+	s, off := a.sectors(ppa)
+	if s == nil {
+		return -1, 0
+	}
+	return s.oobLPA[off], s.oobSeq[off]
 }
 
 // NextSeq consumes and returns the next program sequence number without

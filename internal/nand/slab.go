@@ -26,46 +26,66 @@ import (
 // and once the sector's block is erased the slab is recycled and may be
 // reprogrammed with unrelated data. See Payload and PayloadCopy.
 
-// slabArena is a per-Array freelist of sector-sized payload buffers.
+// slabArena owns every sector-sized payload slab an Array has allocated.
+// Sectors name their slab by id — 1-based, so 0 means no payload — which
+// keeps per-sector state pointer-free. Released ids go on a freelist.
 type slabArena struct {
-	free [][]byte
+	mem  [][]byte // slab id-1
+	free []int32
 }
 
-// get returns a sector-sized buffer. Its contents are unspecified; callers
-// overwrite it fully.
-func (p *slabArena) get() []byte {
+// get returns the id of an unused slab. Its contents are unspecified;
+// callers overwrite it fully.
+func (p *slabArena) get() int32 {
 	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
+		id := p.free[n-1]
 		p.free = p.free[:n-1]
-		return b
+		return id
 	}
-	return make([]byte, units.Sector)
+	p.mem = append(p.mem, make([]byte, units.Sector))
+	return int32(len(p.mem))
 }
 
-// put returns a buffer previously obtained from get.
-func (p *slabArena) put(b []byte) { p.free = append(p.free, b) }
+// put releases a slab id obtained from get.
+func (p *slabArena) put(id int32) { p.free = append(p.free, id) }
 
-// setPayload stores one sector's payload: the previous slab, if any, is
-// released (overwrite release), and a non-nil src is copied into a fresh
-// slab so the caller's buffer is never retained.
-func (a *Array) setPayload(idx int64, src []byte) {
-	if old := a.payload[idx]; old != nil {
+// bytes returns slab id's buffer, or nil for id 0.
+func (p *slabArena) bytes(id int32) []byte {
+	if id == 0 {
+		return nil
+	}
+	return p.mem[id-1]
+}
+
+// setPayload stores one sector's payload in slot: the previous slab, if
+// any, is released (overwrite release), and a non-nil src is copied into a
+// fresh slab so the caller's buffer is never retained.
+func (a *Array) setPayload(slot *int32, src []byte) {
+	if old := *slot; old != 0 {
 		a.slabs.put(old)
 	}
 	if src == nil {
-		a.payload[idx] = nil
+		*slot = 0
 		return
 	}
-	s := a.slabs.get()
-	copy(s, src)
-	a.payload[idx] = s
+	id := a.slabs.get()
+	copy(a.slabs.bytes(id), src)
+	*slot = id
 }
 
-// dropPayload releases the sector's slab, if any (erase release).
-func (a *Array) dropPayload(idx int64) {
-	if old := a.payload[idx]; old != nil {
-		a.slabs.put(old)
-		a.payload[idx] = nil
+// releaseSectors returns an erased block's slabs (erase release) and then
+// its cleared sector state to the array's freelists.
+func (a *Array) releaseSectors(s *blockSectors) {
+	for _, id := range s.slab {
+		if id != 0 {
+			a.slabs.put(id)
+		}
 	}
+	clear(s.slab)
+	clear(s.written)
+	for i := range s.oobLPA {
+		s.oobLPA[i] = -1
+	}
+	clear(s.oobSeq)
+	a.freeSects = append(a.freeSects, s)
 }
